@@ -13,7 +13,7 @@ This module retires that residue as array passes too:
   LRU-inert — exactly when none of them can collide with a tag that is
   resident or will be filled this epoch. A conflict (never observed
   outside adversarial traces; the shootdown invariants rule it out for
-  well-formed runs) falls the epoch back to the quantum tiers instead
+  well-formed runs) falls the epoch back to the fast loop instead
   of raising, which keeps the engine total rather than trap-happy.
 * :func:`pwc_level_outcomes` — exact classification of one page-walk
   cache level's epoch probe stream (memo hit / LRU hit / miss) without

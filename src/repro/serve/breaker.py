@@ -15,7 +15,7 @@ machinery is failing:
   when a job fails on the default columnar tier (numba probe-compile
   blowups, columnar encoding failures, or anything else the fast path
   trips over), the job is retried on the ``fast`` tier and finally the
-  ``scalar`` reference tier. The four tiers are bit-identical by
+  ``scalar`` reference tier. The three tiers are bit-identical by
   construction (the differential oracle's core invariant), so a
   degraded answer is a *slower* answer, never a different one.
 

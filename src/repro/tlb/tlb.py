@@ -98,6 +98,22 @@ class TLB:
         return self._sets
 
     @property
+    def recency_sets(self) -> list[dict[int, int]]:
+        """Per-set dicts whose order is the recency stack, for callers
+        that refresh recency themselves by del/reinsert (the engine's
+        tier-2 probe).
+
+        Under LRU these are the live entry dicts. Under PLRU dict order
+        is not recency, so every set maps to one shared empty dict: a
+        probe always misses and the caller falls through to
+        :meth:`lookup`, which touches the tree. The empty dict is never
+        written, since only a probe hit refreshes an entry.
+        """
+        if self._plru:
+            return [{}] * self._nsets
+        return self._sets
+
+    @property
     def nsets(self) -> int:
         """Number of sets (the modulus of :meth:`_set_for`)."""
         return self._nsets

@@ -5,7 +5,7 @@ defect here is a named, reversible monkeypatch that disables one
 correctness mechanism the oracle and invariants are supposed to defend:
 
 - ``stale-hints`` — the fast path's MRU-hint memo is never invalidated
-  after OS ticks mutate TLB state, so the fast/batch tiers serve
+  after OS ticks mutate TLB state, so the fast and columnar tiers serve
   translations from entries that shootdowns have removed;
 - ``pcc-no-decay`` — the PCC's decay-on-saturation pass is disabled,
   letting frequency counters climb past the architectural
@@ -85,7 +85,7 @@ def tlb_plru_drift() -> Iterator[None]:
     Flips the root direction bit before consulting the tree, so a full
     set evicts from the recently-used half. The production ``TLB``
     calls ``plru.victim`` through the module attribute precisely so
-    this patch intercepts every structure at once; with all four tiers
+    this patch intercepts every structure at once; with every tier
     drifting together, the tier oracle is blind and only the reference
     cross-check's victim comparison trips. Inert under LRU (the tree is
     never consulted) and at 1-way sets (no subtree to get wrong).

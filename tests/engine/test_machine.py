@@ -50,12 +50,11 @@ class TestTranslationPipelineHints:
     def _pipeline(self):
         return TranslationPipeline(Core(tiny_config()), fast_path=True)
 
-    def test_invalidate_hints_bumps_epoch_and_clears(self):
+    def test_invalidate_hints_counts_and_clears(self):
         pipeline = self._pipeline()
         pipeline._base_mru[0] = 42
         pipeline._huge_mru[0] = 7
         pipeline.invalidate_hints()
-        assert pipeline.epoch == 1
         assert pipeline.invalidations == 1
         assert set(pipeline._base_mru) == {-1}
         assert set(pipeline._huge_mru) == {-1}

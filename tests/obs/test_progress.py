@@ -195,7 +195,7 @@ class TestSpool:
 
 class TestEngineIntegration:
     @staticmethod
-    def _run_quick(observe=None):
+    def _run_quick(observe=None, tlb_replacement="lru"):
         import copy
 
         from repro.engine.simulation import Simulator
@@ -205,7 +205,7 @@ class TestEngineIntegration:
         workload = build_named_workload(
             "BFS", graph_scale=8, proxy_accesses=20_000
         )
-        config = config_for(workload)
+        config = config_for(workload).with_tlb_replacement(tlb_replacement)
         simulator = Simulator(config, policy=HugePagePolicy.PCC,
                               observe=observe)
         return simulator.run([copy.deepcopy(workload)])
@@ -224,6 +224,22 @@ class TestEngineIntegration:
         # progress must not kick the run off the columnar tier
         assert final["tier"] == "columnar"
         assert all(s["seq"] == i + 1 for i, s in enumerate(seen))
+
+    def test_tier_is_the_one_that_executed(self, monkeypatch):
+        """A PLRU run is configured columnar but runs no epoch (the
+        classifier is exact-LRU-only), so no snapshot may claim it."""
+        monkeypatch.setenv(progress_module.CADENCE_ENV, "0")
+        seen = []
+        with progress_scope("plru-job", seen.append):
+            result = self._run_quick(tlb_replacement="plru")
+        epochs = sum(
+            value for name, value in result.metrics["counters"].items()
+            if name.endswith(".fastpath.columnar_epochs")
+        )
+        assert epochs == 0
+        assert len(seen) >= 2
+        assert all(s["epochs"] == 0 for s in seen)
+        assert {s["tier"] for s in seen} == {"fast"}
 
     def test_progress_does_not_perturb_results(self, monkeypatch):
         baseline = self._run_quick()

@@ -13,7 +13,7 @@
    tag vocabulary, and initial residency.
 
 On top of those unit properties, the tier's end-to-end contract is
-pinned the same way the fast and batch tiers are: bit-identical
+pinned the same way the fast tier's is: bit-identical
 simulation statistics against the scalar reference on the validation
 fuzz corpus (seeds 0..50; the CI oracle sweep covers 0..199).
 """

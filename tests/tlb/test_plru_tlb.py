@@ -94,6 +94,16 @@ class TestPLRUTLB:
                 )
         assert lru.resident_tags() == plru.resident_tags()
 
+    def test_recency_sets_hide_entries_only_under_plru(self):
+        """Dict order is recency only under LRU, so only LRU exposes
+        its live sets to callers that refresh recency by reinsert."""
+        lru = TLB(TLBConfig(4, 4, (PageSize.BASE,)), "lru")
+        assert lru.recency_sets is lru.sets
+        plru = _plru_tlb()
+        plru.fill(10, PageSize.BASE)
+        assert plru.recency_sets == [{}]
+        assert 10 in plru.sets[0]
+
 
 class TestConfigKnob:
     def test_bad_replacement_name_is_rejected(self):
