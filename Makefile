@@ -31,7 +31,8 @@ fuzz:
 # engine tier shares the drifted policy, so only the independent
 # reference model can see it.
 fuzz-selftest:
-	@for defect in stale-hints pcc-no-decay region-count-drift; do \
+	@for defect in stale-hints pcc-no-decay region-count-drift \
+			epoch-walk-clock; do \
 		echo "=== defect: $$defect ==="; \
 		$(PYTHON) -m repro validate --fuzz 40 \
 			--inject-defect $$defect \
@@ -48,7 +49,7 @@ chaos:
 		tests/integration/test_resilience_pipeline.py \
 		tests/trace/test_cache_resilience.py -q
 
-# one-step perf trajectory: all four tiers timed interleaved, tier
+# one-step perf trajectory: all three tiers timed interleaved, tier
 # equivalence verified, steady-state + residue breakdown measured, and
 # the $(BENCH_OUT) artifact written with the previous PR's numbers
 # embedded as the before/after record

@@ -253,7 +253,10 @@ def measure_obs_overhead(rounds: int) -> dict:
     shape). Default-off must stay within 5% of hard-off — tracing that
     nobody asked for must be free. The fully *enabled* cost is also
     measured, informationally (it pays for span bookkeeping and
-    per-walk histogram recording, and is allowed to).
+    per-walk histogram recording, and is allowed to). What is checked
+    of the enabled run is deterministic, not timed: it must execute as
+    many columnar epochs as the hard-off run (``enabled_epochs``
+    against ``hard_off_epochs``) — tracing must not change the tier.
 
     The live-progress path gets the stronger check: a run with a
     progress sink installed (snapshots at every feed point) must
@@ -285,7 +288,13 @@ def measure_obs_overhead(rounds: int) -> dict:
             result.demotions, tuple(result.promotion_timeline),
         )
 
-    timed(False)  # warmup
+    def epochs(result) -> int:
+        return sum(
+            value for name, value in result.metrics["counters"].items()
+            if name.endswith(".fastpath.columnar_epochs")
+        )
+
+    _, hard_off_run = timed(False)  # warmup
     hard_off = min(timed(False)[0] for _ in range(rounds))
     auto_off, baseline = timed(None)
     for _ in range(rounds - 1):
@@ -293,7 +302,9 @@ def measure_obs_overhead(rounds: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-obs-spool-") as spool:
         tracer_module.enable(spool_dir=spool)
         try:
-            enabled = min(timed(None)[0] for _ in range(rounds))
+            enabled, enabled_run = timed(None)
+            for _ in range(rounds - 1):
+                enabled = min(enabled, timed(None)[0])
         finally:
             tracer_module.disable()
 
@@ -318,6 +329,8 @@ def measure_obs_overhead(rounds: int) -> dict:
         "enabled_seconds": round(enabled, 3),
         "disabled_ratio": round(auto_off / hard_off, 3),
         "enabled_ratio": round(enabled / hard_off, 3),
+        "hard_off_epochs": epochs(hard_off_run),
+        "enabled_epochs": epochs(enabled_run),
         "progress_seconds": round(progress_on, 3),
         "progress_snapshots": len(snapshots),
         "progress_stats_identical": progress_identical,
@@ -581,7 +594,9 @@ def main(argv=None) -> int:
             f"default-off {obs['auto_off_seconds']:.3f}s "
             f"(ratio {obs['disabled_ratio']:.3f}, max {args.obs_max_ratio}), "
             f"enabled {obs['enabled_seconds']:.3f}s "
-            f"(ratio {obs['enabled_ratio']:.3f}, informational)"
+            f"(ratio {obs['enabled_ratio']:.3f}, informational; "
+            f"{obs['enabled_epochs']} columnar epochs, hard-off "
+            f"{obs['hard_off_epochs']})"
         )
         print(
             f"  live progress: {obs['progress_snapshots']} snapshots in "
@@ -591,6 +606,14 @@ def main(argv=None) -> int:
         if obs["disabled_ratio"] > args.obs_max_ratio:
             print(
                 "perf smoke FAILED: disabled observability is not free",
+                file=sys.stderr,
+            )
+            status = 1
+        if obs["enabled_epochs"] != obs["hard_off_epochs"]:
+            print(
+                "perf smoke FAILED: the traced run executed "
+                f"{obs['enabled_epochs']} columnar epochs, the hard-off "
+                f"run {obs['hard_off_epochs']}",
                 file=sys.stderr,
             )
             status = 1

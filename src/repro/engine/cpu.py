@@ -14,7 +14,7 @@ from repro.config import SystemConfig
 from repro.core.pcc import PromotionCandidateCache
 from repro.tlb.hierarchy import HitLevel, TLBHierarchy
 from repro.tlb.walker import PageTableWalker
-from repro.vm.address import BASE_PAGE_SHIFT, GIGA_PAGE_SHIFT, HUGE_PAGE_SHIFT
+from repro.vm.address import BASE_PAGE_SHIFT
 from repro.vm.pagetable import PageTable
 
 
@@ -143,16 +143,11 @@ class Core:
         """Invalidate a 2MB region everywhere on this core.
 
         Promotion-triggered shootdowns also invalidate the region from
-        the PCC (§3.3), preventing stale candidates.
+        the PCC (§3.3), preventing stale candidates. The 1GB PCC keeps
+        its entry for the enclosing gigabyte, as hardware would.
         """
         self.tlb.shootdown_region(huge_region)
         self.pcc.invalidate(huge_region)
-        if self.pcc_1gb is not None:
-            giga = huge_region >> (GIGA_PAGE_SHIFT - HUGE_PAGE_SHIFT)
-            first = giga << (GIGA_PAGE_SHIFT - HUGE_PAGE_SHIFT)
-            # only drop the 1GB entry if this was its last resident child;
-            # conservatively keep it (hardware would), nothing depends on it
-            del first
 
     def dump_pcc(self):
         """Ranked 2MB candidates without clearing (on-demand OS read)."""

@@ -60,21 +60,21 @@ Fallbacks
 ---------
 
 Every window the columnar epoch tier (below) does not take — short
-tail windows, PLRU epochs, observed runs, multi-thread spans it
-declines — runs :meth:`TranslationPipeline._run_quantum_fast`, one
-scheduling quantum at a time. ``columnar=False`` selects that loop
-unconditionally and ``fast_path=False`` the scalar reference loop, so
-the engine is a three-tier ladder: columnar, fast, scalar.
+tail windows, PLRU epochs, multi-thread spans it declines — runs
+:meth:`TranslationPipeline._run_quantum_fast`, one scheduling quantum
+at a time. ``columnar=False`` selects that loop unconditionally and
+``fast_path=False`` the scalar reference loop, so the engine is a
+three-tier ladder: columnar, fast, scalar. Observation is not a
+fallback: an observed run executes the same epochs as an unobserved
+one (see "Observed runs" below).
 
 The columnar epoch tier
 -----------------------
 
 ``columnar=True`` (the default, requiring the fast path) goes one
 step further: between TLB-mutating events there is no reason to stop
-at quantum boundaries at all. In an unobserved run (walk observers
-wrap the per-record translate binding the epoch pass bypasses), the
-machine retires the **entire remaining OS-tick interval** as one
-epoch per live thread:
+at quantum boundaries at all. The machine retires the **entire
+remaining OS-tick interval** as one epoch per live thread:
 
 1. *Window*: the epoch end comes from iterating the per-quantum
    ``searchsorted`` rule until the accumulated accesses cover the
@@ -128,6 +128,21 @@ Epoch statistics land in the same pending counters the fast loop
 uses, so ``sync()`` remains the single flush point. An adaptive guard
 hands a slot whose epochs classify under a quarter of their records
 back to the fast loop and re-probes it periodically.
+
+Observed runs
+-------------
+
+Observation (a tracer, or ``REPRO_OBS``) keeps every tier. The two
+per-walk histograms come from whichever tier retired the walk: a
+fast/scalar quantum calls a translate wrapper per walk, and a columnar
+epoch hands its whole walk plan to
+:meth:`~repro.obs.observer.RunObserver.note_walks` at commit. An epoch
+walk's latency is its planned cycles; its first-walk stamp (behind
+``promotion_lag_accesses``) is the clock the fast loop would have used,
+the tick driver's retired-access count at the start of the quantum
+holding the walk, recovered from the epoch plan's quantum starts (or,
+for a multi-thread span, its (round, slot) order). Each quantum and
+each epoch is one trace span on its core's lane.
 """
 
 from __future__ import annotations
@@ -374,6 +389,17 @@ class TranslationPipeline:
         # observed run swaps in a recording wrapper, so non-observed
         # runs pay nothing per record.
         self._translate = core.translate
+        # Observed runs (Machine._attach_walk_observers): the run's
+        # RunObserver, fed each columnar epoch's walks in one batch,
+        # and its tracer, which gets one span per quantum and epoch on
+        # this core's lane. None on unobserved runs.
+        self.obs = None
+        self._tracer = None
+        self._lane = CORE_TID_BASE + core.core_id
+        # Accesses a window replay has retired ahead of the tick
+        # driver's clock, which it advances once per window: the
+        # translate wrapper's first-walk stamps add it back.
+        self._window_offset = 0
         # Batched fast-hit counters, flushed by sync().
         self._pending_base_records = 0
         self._pending_huge_records = 0
@@ -419,9 +445,14 @@ class TranslationPipeline:
         first touch, before the access translates.
         """
         self._active_slot = slot
-        if self.fast_path:
-            return self._run_quantum_fast(slot, budget, page_table)
-        return self._run_quantum_slow(slot, budget, page_table)
+        loop = (self._run_quantum_fast if self.fast_path
+                else self._run_quantum_slow)
+        tracer = self._tracer
+        if tracer is None:
+            return loop(slot, budget, page_table)
+        with tracer.span("quantum", cat="engine", tid=self._lane,
+                         process=slot.pid):
+            return loop(slot, budget, page_table)
 
     def _run_quantum_slow(self, slot: _ThreadSlot, budget: int, page_table):
         """Reference loop: every record takes the full TLB object graph."""
@@ -600,12 +631,13 @@ class TranslationPipeline:
     # the columnar epoch tier
 
     def run_epoch(self, slot: _ThreadSlot, budget: int, page_table,
-                  interval_remaining: int) -> tuple:
+                  interval_remaining: int, now: int) -> tuple:
         """Retire up to one whole OS-tick interval of ``slot`` at once.
 
         The caller (the machine's run loop, single-live-slot case only)
-        passes the accesses remaining until the next promotion tick;
-        the epoch window covers exactly the quanta the round loop would
+        passes the accesses remaining until the next promotion tick
+        and ``now``, the tick driver's retired-access clock; the epoch
+        window covers exactly the quanta the round loop would
         run before its due-check fires — iterating the per-quantum
         ``searchsorted`` rule, since the scalar loop checks ``due``
         after every quantum and the final quantum may overshoot the
@@ -632,7 +664,10 @@ class TranslationPipeline:
         n = slot.length
         end = start
         acc = 0
+        #: the record each of the window's quanta starts at
+        starts = []
         while acc < interval_remaining and end < n:
+            starts.append(end)
             nxt = int(np.searchsorted(cum, cum[end] + budget, side="left"))
             if nxt > n:
                 nxt = n
@@ -644,10 +679,21 @@ class TranslationPipeline:
             return self.run_quantum(slot, budget, page_table)
         if slot.bsets is None:
             self._attach_epoch_views(slot)
-        return self._run_epoch_columnar(slot, start, end, budget, page_table)
+        if self.obs is None:
+            return self._run_epoch_columnar(slot, start, end, budget,
+                                            page_table)
+        # The fast loop stamps a walk with the clock at the start of
+        # its quantum: ``now`` plus the accesses of earlier quanta.
+        starts = np.asarray(starts, dtype=np.int64)
+        clocks = now + (cum[starts] - cum[start]).astype(np.int64)
+        with self.obs.span("epoch", cat="engine", tid=self._lane,
+                           process=slot.pid):
+            return self._run_epoch_columnar(slot, start, end, budget,
+                                            page_table, starts, clocks)
 
     def _run_epoch_columnar(self, slot: _ThreadSlot, start: int, end: int,
-                            budget: int, page_table) -> tuple:
+                            budget: int, page_table, starts=None,
+                            clocks=None) -> tuple:
         """One vectorized epoch pass over ``[start, end)``.
 
         Composes the phases the module docstring describes: the fault
@@ -659,6 +705,9 @@ class TranslationPipeline:
         it does not cover, or an unmapped hole whose walk must raise
         the scalar path's error — replays through the fast loop
         instead (:meth:`_replay_window`), bit-identically either way.
+        On an observed run, ``starts``/``clocks`` give each quantum of
+        the window its first record and its access clock, from which
+        the epoch's walks get their first-walk stamps.
         """
         self._epoch_faults(slot, start, end, page_table)
         ctx = self._epoch_classify(slot, start, end, page_table)
@@ -668,7 +717,10 @@ class TranslationPipeline:
         ctx.walk_pud, ctx.walk_pmd = residue.page_table_pass(
             page_table, ctx.walk_vpns, ctx.walk_sizes
         )
-        return self._epoch_finish(slot, ctx)
+        result = self._epoch_finish(slot, ctx)
+        if clocks is not None:
+            self.observe_walks(slot.pid, ctx, starts, clocks)
+        return result
 
     def _replay_window(self, slot: _ThreadSlot, start: int, end: int,
                        budget: int, page_table) -> tuple:
@@ -682,7 +734,11 @@ class TranslationPipeline:
         quantum covering the remaining interval, so no tick fires
         inside the window). The cursor is restored before returning: the caller's
         single ``scheduler.advance`` call keeps the remaining-record
-        accounting intact, exactly as after a classified epoch.
+        accounting intact, exactly as after a classified epoch. The
+        caller also advances the tick driver's clock once for the
+        whole window, so each quantum publishes the accesses retired
+        before it in ``_window_offset`` for the observed-run translate
+        wrapper to add back.
         """
         accesses = 0
         cycles = 0
@@ -690,13 +746,33 @@ class TranslationPipeline:
         cursor = start
         while cursor < end:
             slot.cursor = cursor
+            self._window_offset = accesses
             cursor, acc, cyc, wlk = self.run_quantum(slot, budget,
                                                      page_table)
             accesses += acc
             cycles += cyc
             walks += wlk
+        self._window_offset = 0
         slot.cursor = start
         return cursor, accesses, cycles, walks
+
+    def observe_walks(self, pid: int, ctx: _EpochContext, starts,
+                      clocks) -> None:
+        """Hand a committed epoch's walks to the run's observer.
+
+        A walk's latency is its planned cycles (the fast loop's
+        ``translate`` result net of repeat hits); its first-walk stamp
+        is the clock of the quantum holding its record, ``clocks[k]``
+        for the last ``starts[k]`` at or before it.
+        """
+        ridx = ctx.walk_ridx
+        if not ridx.size:
+            return
+        quantum = np.searchsorted(starts, ridx, side="right") - 1
+        self.obs.note_walks(
+            pid, ctx.walk_vpns >> np.uint64(_HUGE_SHIFT),
+            ctx.walk_plan.cycles, clocks[quantum],
+        )
 
     def _epoch_faults(self, slot: _ThreadSlot, start: int, end: int,
                       page_table) -> None:
@@ -1400,13 +1476,13 @@ class Machine:
         # audits final tick accounting against kernel state).
         self.ticks = ticks
 
-        # One observability decision per run; every hook site below
-        # guards on `obs`/`tracer` being non-None, so a non-observed
-        # run pays a couple of branches per quantum/tick and nothing
-        # per record (see _attach_walk_observers for the per-walk hook).
+        # One observability decision per run; every hook site guards
+        # on `obs` (or the pipelines' tracer) being non-None, so a
+        # non-observed run pays a couple of branches per quantum,
+        # epoch and tick and nothing per record (see
+        # _attach_walk_observers for the per-walk hooks).
         obs = RunObserver.for_run(self.observe, registry)
         self.obs = obs
-        tracer = obs.tracer if obs is not None else None
         if obs is not None:
             self._attach_walk_observers(obs, ticks)
 
@@ -1418,20 +1494,13 @@ class Machine:
         drain_fault_work = kernel.drain_fault_work
         walks_by_pid = {pid: 0 for pid in processes}
 
-        # The columnar epoch tier needs the translate binding untouched:
-        # observed runs wrap it per record (walk histograms, promotion
-        # lag), which the epoch pass legitimately bypasses, so an
-        # observed run keeps the fast loop.
-        use_columnar = self.columnar and obs is None
-
         # One progress decision per run, independent of the observer:
-        # riding the observe path would demote the run off the columnar
-        # tier, and progress only *reads* counters, so reported runs
-        # stay bit-identical to silent ones. When enabled the loop pays
+        # progress only *reads* counters, so reported runs stay
+        # bit-identical to silent ones. When enabled the loop pays
         # one clock check per scheduler round; when disabled, one
         # ``is None`` branch. The reported tier is the one that executed
-        # so far, read off the pipeline counters (a PLRU or observed run
-        # is configured columnar but never runs an epoch).
+        # so far, read off the pipeline counters (a PLRU run is
+        # configured columnar but never runs an epoch).
         prog = progress_for_run(total=scheduler.remaining)
         prog_total = scheduler.remaining
         quantum_tier = "fast" if self.fast_path else "scalar"
@@ -1453,7 +1522,10 @@ class Machine:
             while scheduler.remaining > 0:
                 if prog is not None and prog.due():
                     report_progress()
-                if use_columnar:
+                # Observed runs take the epoch tier too: an epoch hands
+                # its walks to the observer from its walk plan, and only
+                # fast/scalar quanta go through the translate wrapper.
+                if self.columnar:
                     live = [
                         slot for slot in scheduler.slots
                         if slot.live and slot.cursor < slot.length
@@ -1475,6 +1547,7 @@ class Machine:
                                     table,
                                     ticks.interval
                                     - ticks.accesses_since_tick,
+                                    ticks.total_accesses,
                                 )
                             )
                             scheduler.advance(slot, cursor)
@@ -1498,20 +1571,9 @@ class Machine:
                     pipeline = pipelines[slot.core_id]
                     ledger = ledgers[slot.core_id]
                     table = processes[slot.pid].page_table
-                    if tracer is None:
-                        cursor, accesses, cycles, walks = pipeline.run_quantum(
-                            slot, quantum, table
-                        )
-                    else:
-                        with tracer.span(
-                            "quantum",
-                            cat="engine",
-                            tid=CORE_TID_BASE + slot.core_id,
-                            process=slot.pid,
-                        ):
-                            cursor, accesses, cycles, walks = (
-                                pipeline.run_quantum(slot, quantum, table)
-                            )
+                    cursor, accesses, cycles, walks = pipeline.run_quantum(
+                        slot, quantum, table
+                    )
                     scheduler.advance(slot, cursor)
                     ledger.charge_translation(cycles)
                     ledger.charge_accesses(accesses)
@@ -1724,13 +1786,36 @@ class Machine:
                 ctx.walk_pmd = pmd[pos0:pos0 + nw]
                 pos0 += nw
 
+        # ---- first-walk clocks on observed runs: the round loop
+        # stamps a walk with the tick driver's clock at the start of its
+        # quantum, which counts every earlier (round, slot) quantum.
+        if obs is not None:
+            starts: list[list[int]] = [[] for _ in live]
+            clocks: list[list[int]] = [[] for _ in live]
+            now = ticks.total_accesses
+            for this_round in rounds:
+                for i, s0, s1 in this_round:
+                    cum = live[i].cum
+                    starts[i].append(s0)
+                    clocks[i].append(now)
+                    now += int(cum[s1] - cum[s0])
+
         # ---- commit per slot, with the scalar loop's bookkeeping.
         for i, slot in enumerate(live):
             pipeline = pipelines[slot.core_id]
             ledger = ledgers[slot.core_id]
-            cursor, accesses, cycles, walks = pipeline._epoch_finish(
-                slot, ctxs[i]
-            )
+            with obs.span("epoch", cat="engine", tid=pipeline._lane,
+                          process=slot.pid) if obs is not None \
+                    else nullcontext():
+                cursor, accesses, cycles, walks = pipeline._epoch_finish(
+                    slot, ctxs[i]
+                )
+                if obs is not None:
+                    pipeline.observe_walks(
+                        slot.pid, ctxs[i],
+                        np.asarray(starts[i], dtype=np.int64),
+                        np.asarray(clocks[i], dtype=np.int64),
+                    )
             scheduler.advance(slot, cursor)
             ledger.charge_translation(cycles)
             ledger.charge_accesses(accesses)
@@ -1813,20 +1898,27 @@ class Machine:
         return outcome
 
     def _attach_walk_observers(self, obs: RunObserver, ticks: OsTickDriver) -> None:
-        """Swap each pipeline's translate binding for a recording wrapper.
+        """Hand each pipeline the observer and wrap its translate binding.
 
-        The wrapper delegates to the real ``Core.translate`` unchanged
-        (bit-identity by construction) and, when the access missed the
-        TLBs, records the walk's latency — the returned cycles net of
-        the repeat-hit cycles folded into the same return — plus the
-        region's first-walk stamp for promotion-lag accounting. The
-        process id comes from the pipeline's active slot (set by
-        ``run_quantum``), and "now" is the tick driver's retired-access
-        clock at quantum granularity.
+        Columnar epochs feed the observer from their walk plans
+        (:meth:`TranslationPipeline.observe_walks`); the per-record
+        tiers call the wrapper. It delegates to the real
+        ``Core.translate`` unchanged (bit-identity by construction)
+        and, when the access missed the TLBs, records the walk's
+        latency — the returned cycles net of the repeat-hit cycles
+        folded into the same return — plus the region's first-walk
+        stamp for promotion-lag accounting. The process id comes from
+        the pipeline's active slot (set by ``run_quantum``), and "now"
+        is the tick driver's retired-access clock at quantum
+        granularity (plus the accesses a window replay retired ahead
+        of it).
         """
         miss_level = HitLevel.MISS
         note_walk = obs.note_walk
         for pipeline in self.pipelines:
+            pipeline.obs = obs
+            pipeline._tracer = obs.tracer
+
             def observed_translate(
                 vpn,
                 page_table,
@@ -1842,7 +1934,7 @@ class Machine:
                         slot.pid if slot is not None else -1,
                         vpn >> _HUGE_SHIFT,
                         result[0] - _l1_hit * (repeat - 1),
-                        ticks.total_accesses,
+                        ticks.total_accesses + _pipeline._window_offset,
                     )
                 return result
 

@@ -76,6 +76,28 @@ class Histogram:
         for value in values:
             self.record(value)
 
+    def record_counts(self, values: Iterable[float],
+                      counts: Iterable[int]) -> None:
+        """Count ``count`` samples of each ``value``: one bucket lookup
+        per distinct value instead of one :meth:`record` per sample.
+
+        Equal to the :meth:`record` loop in every field for integer
+        samples (their sum is exact in a float below 2**53), which is
+        what per-walk cycle counts are.
+        """
+        buckets = self.counts
+        for value, count in zip(values, counts):
+            if count <= 0:
+                continue
+            index = bucket_index(value)
+            buckets[index] = buckets.get(index, 0) + count
+            self.count += count
+            self.total += value * count
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+
     # ------------------------------------------------------------------
     # reading
 

@@ -4,9 +4,16 @@
 decision per run: :meth:`RunObserver.for_run` returns ``None`` unless
 observation was requested, and every engine hook site guards on
 ``obs is not None`` — so a non-observed run pays a handful of attribute
-checks per scheduling quantum / OS tick and *nothing* per memory
-access (the per-walk hook swaps in a wrapped translate method only
-when an observer exists).
+checks per scheduling quantum / epoch / OS tick and *nothing* per
+memory access.
+
+An observed run executes the same engine tiers as an unobserved one.
+Walks the columnar epoch tier retires reach the observer in one
+:meth:`RunObserver.note_walks` call per epoch, straight from the
+epoch's walk plan; only walks on the per-record tiers (fast and scalar
+quanta) go through a wrapped translate method and
+:meth:`RunObserver.note_walk`, and that wrapper exists only when an
+observer does.
 
 When a run *is* observed the bundle provides:
 
@@ -27,6 +34,8 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
+
+import numpy as np
 
 from repro.obs.tracer import active_tracer, tracing_enabled
 
@@ -109,6 +118,30 @@ class RunObserver:
         key = (pid, region)
         if key not in self._first_walk:
             self._first_walk[key] = now_accesses
+
+    def note_walks(self, pid: int, regions, cycles, nows) -> None:
+        """A batch of page walks, as numpy arrays in walk order.
+
+        Equal to :meth:`note_walk` per walk: latencies are bucketed
+        once per distinct value, and a region's first-walk stamp is the
+        earliest of ``nows`` (the engine's access clock never runs
+        backwards, so the earliest stamp is the first walk's).
+        """
+        if not cycles.size:
+            return
+        values, counts = np.unique(cycles, return_counts=True)
+        self.walk_latency.record_counts(values.tolist(), counts.tolist())
+        order = np.lexsort((nows, regions))
+        regions = regions[order]
+        nows = nows[order]
+        first = np.flatnonzero(np.r_[True, regions[1:] != regions[:-1]])
+        first_walk = self._first_walk
+        for region, now in zip(regions[first].tolist(),
+                               nows[first].tolist()):
+            key = (pid, region)
+            known = first_walk.get(key)
+            if known is None or now < known:
+                first_walk[key] = now
 
     def note_tick(self, duration_us: float) -> None:
         """Wall-clock duration of one OS tick (scan+rank+promote+flush)."""

@@ -10,10 +10,10 @@ Like every ``repro.obs`` facility it is **off by default and free when
 disabled**: :func:`progress_for_run` returns ``None`` unless a sink is
 installed, and the engine's hot loop guards on ``prog is not None``
 plus a single :meth:`ProgressReporter.due` clock check per scheduler
-round. Crucially, progress is *independent* of the
-:class:`~repro.obs.observer.RunObserver` path — an observed run drops
-off the columnar tier (per-record hooks), a progress-reported run does
-not, which is what makes the bit-identity acceptance gate hold.
+round. Progress is *independent* of the
+:class:`~repro.obs.observer.RunObserver` path: it only reads counters
+at round boundaries, so a progress-reported run executes the same
+tiers and reports bit-identical statistics (as does an observed run).
 
 Three delivery paths compose freely:
 

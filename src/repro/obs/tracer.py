@@ -37,7 +37,7 @@ boundary via the task's pickled ``trace_parent`` attribute plus a
 The pipeline is single-threaded per process, so the open-span stack is
 a plain list; lanes within a process are modelled with explicit ``tid``
 values instead (lane 1 = machine/OS phases, lane ``10 + core_id`` =
-per-core scheduling quanta).
+per-core quanta and epochs).
 """
 
 from __future__ import annotations

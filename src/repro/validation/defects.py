@@ -17,7 +17,11 @@ correctness mechanism the oracle and invariants are supposed to defend:
   root subtree, evicting a recently-used way. Every engine tier shares
   the drifted policy, so tier-vs-tier comparison stays green; only the
   independent reference oracle (``repro.validation.reference``) can
-  catch it, which is exactly what it exists to prove.
+  catch it, which is exactly what it exists to prove;
+- ``epoch-walk-clock`` — an observed columnar epoch stamps every walk
+  with the clock of its first quantum instead of the quantum holding
+  it. Statistics stay bit-identical; only the observed-histogram law
+  (``promotion_lag_accesses`` against the scalar tier) can catch it.
 
 The test suite (and ``repro validate --inject-defect``) asserts that
 each injection is *caught* — by tier divergence or an invariant — and
@@ -106,12 +110,30 @@ def tlb_plru_drift() -> Iterator[None]:
         plru.victim = original
 
 
+@contextlib.contextmanager
+def epoch_walk_clock() -> Iterator[None]:
+    """Stamp an observed epoch's walks with its first quantum's clock."""
+    from repro.engine.machine import TranslationPipeline
+
+    original = TranslationPipeline.observe_walks
+
+    def epoch_start_clock(self, pid, ctx, starts, clocks):
+        original(self, pid, ctx, starts, clocks[:1].repeat(clocks.size))
+
+    TranslationPipeline.observe_walks = epoch_start_clock
+    try:
+        yield
+    finally:
+        TranslationPipeline.observe_walks = original
+
+
 #: name -> context manager installing the defect for the duration
 DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "stale-hints": stale_hints,
     "pcc-no-decay": pcc_no_decay,
     "region-count-drift": region_count_drift,
     "tlb-plru-drift": tlb_plru_drift,
+    "epoch-walk-clock": epoch_walk_clock,
 }
 
 

@@ -1,6 +1,6 @@
 """The differential oracle: tiers must agree, policies must obey laws.
 
-One :class:`~repro.validation.generators.FuzzCase` is judged in three
+One :class:`~repro.validation.generators.FuzzCase` is judged in four
 moves:
 
 1. **Tier equivalence** (exact). The same (config, stream) runs through
@@ -26,6 +26,17 @@ moves:
 
 3. **Determinism**: repeating the scalar run reproduces the fingerprint
    bit-for-bit — any divergence means hidden global state.
+
+4. **Observation** (exact). Observed runs (``observe=True``) of the
+   scalar and the columnar tier must report equal
+   ``walk_latency_cycles`` and ``promotion_lag_accesses`` histograms —
+   the columnar tier derives them from its epochs' walk plans, the
+   scalar tier from every translate call — and the observed columnar
+   run must match the unobserved one's statistics and run as many
+   columnar epochs: watching a run does not change which tier runs it.
+   These runs use a scheduling quantum of a quarter of the case's OS
+   interval, so an epoch spans several quanta and a walk's first-walk
+   stamp depends on which quantum holds it.
 
 Cross-policy *performance* orderings (e.g. "IDEAL walks at most as much
 as PCC") are deliberately **not** asserted: with set-associative TLBs a
@@ -77,9 +88,13 @@ def run_case(
     policy: HugePagePolicy | None = None,
     params=None,
     validate: bool = True,
+    observe: bool | None = None,
+    thread_quantum: int = 2048,
 ) -> tuple[Simulator, SimulationResult]:
     """Run one case through one tier; returns the simulator too so
     callers can inspect end-of-run kernel state (the huge-page ledger).
+    ``observe`` is the simulator's observability switch (None: auto)
+    and ``thread_quantum`` its scheduling quantum.
 
     Raises :class:`~repro.validation.invariants.InvariantViolation` if a
     runtime invariant breaks mid-run.
@@ -91,6 +106,8 @@ def run_case(
         params=params if params is not None else case.build_params(),
         fragmentation=case.fragmentation,
         validate=validate,
+        observe=observe,
+        thread_quantum=thread_quantum,
         **ENGINE_TIER_SWITCHES[tier],
     )
     result = simulator.run([case.build_workload()])
@@ -184,6 +201,58 @@ def check_tiers(
             )
         report.checks.append(f"tier:{tier}")
     return simulator, reference
+
+
+#: the per-walk histograms an observed run derives on every tier
+OBSERVED_HISTOGRAMS = ("walk_latency_cycles", "promotion_lag_accesses")
+
+
+def _columnar_epochs(result: SimulationResult) -> int:
+    return sum(
+        value
+        for name, value in (result.metrics or {}).get("counters", {}).items()
+        if name.endswith(".fastpath.columnar_epochs")
+    )
+
+
+def check_observed(case: FuzzCase, report: CaseReport) -> None:
+    """Observed runs: equal per-walk histograms on the scalar and the
+    columnar tier, and the unobserved columnar run's statistics and
+    epoch count."""
+    quantum = max(1, case.promote_every // 4)
+    _, columnar = run_case(case, tier="columnar", observe=False,
+                           thread_quantum=quantum)
+    _, scalar_seen = run_case(case, tier="scalar", observe=True,
+                              thread_quantum=quantum)
+    _, columnar_seen = run_case(case, tier="columnar", observe=True,
+                                thread_quantum=quantum)
+    want = scalar_seen.metrics["distributions"]
+    got = columnar_seen.metrics["distributions"]
+    for name in OBSERVED_HISTOGRAMS:
+        if got.get(name) != want.get(name):
+            raise ValidationFailure(
+                "observed.histogram",
+                f"{name}: columnar tier {got.get(name)!r} != scalar "
+                f"tier {want.get(name)!r}",
+                case,
+            )
+    if fingerprint(columnar_seen) != fingerprint(columnar):
+        raise ValidationFailure(
+            "observed.stats",
+            "observing the columnar run changed it: "
+            f"{_first_diff(fingerprint(columnar), fingerprint(columnar_seen))}",
+            case,
+        )
+    epochs = _columnar_epochs(columnar)
+    seen_epochs = _columnar_epochs(columnar_seen)
+    if seen_epochs != epochs:
+        raise ValidationFailure(
+            "observed.tier",
+            f"observed columnar run executed {seen_epochs} columnar "
+            f"epochs, the unobserved one {epochs}",
+            case,
+        )
+    report.checks.append("observed")
 
 
 def check_determinism(case: FuzzCase, reference: SimulationResult,
@@ -364,6 +433,7 @@ def check_case(case: FuzzCase) -> CaseReport:
     )
     try:
         simulator, reference = check_tiers(case, report)
+        check_observed(case, report)
         check_determinism(case, reference, report)
         check_conservation(case, reference, report)
         check_ledger(case, simulator, reference, report)

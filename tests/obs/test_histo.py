@@ -56,6 +56,31 @@ class TestPercentilesVsNumpy:
         assert Histogram("h").percentile(99.0) == 0.0
 
 
+class TestRecordCounts:
+    def test_record_counts_equals_record_loop(self):
+        rng = np.random.default_rng(3)
+        # integer samples (walk cycles), a zero for the underflow
+        # bucket, and a zero count that must record nothing
+        samples = np.concatenate([rng.integers(20, 900, size=4000), [0]])
+        values, counts = np.unique(samples, return_counts=True)
+        looped = Histogram("walk_latency_cycles", unit="cycles")
+        for value in samples.tolist():
+            looped.record(value)
+        batched = Histogram("walk_latency_cycles", unit="cycles")
+        batched.record_counts(values.tolist() + [77], counts.tolist() + [0])
+        assert batched.as_dict() == looped.as_dict()
+        assert batched.counts == looped.counts
+
+    def test_record_counts_accumulates_onto_prior_samples(self):
+        looped = Histogram("h")
+        batched = Histogram("h")
+        for value in (5, 40, 40, 3):
+            looped.record(value)
+        batched.record(5)
+        batched.record_counts([3, 40], [1, 2])
+        assert batched.as_dict() == looped.as_dict()
+
+
 class TestMergeAndSerialization:
     def test_merge_equals_recording_everything(self):
         samples = _reference_samples(seed=3, n=2000)

@@ -40,16 +40,10 @@ def _tracing_off_between_tests(monkeypatch):
 
 
 def _fingerprint(result) -> tuple:
-    # Engine-tier instrumentation (fastpath.*) is excluded, as in the
-    # differential oracle: an observed run keeps the quantum tiers so
-    # the per-record translate wrapper sees every walk, while an
-    # unobserved run may retire whole epochs columnar — the simulation
-    # statistics must still match bit-for-bit.
-    counters = {
-        name: value
-        for name, value in result.metrics["counters"].items()
-        if ".fastpath." not in name
-    }
+    # Every counter, engine-tier instrumentation (fastpath.*) included:
+    # an observed run executes the same columnar epochs, fallbacks and
+    # quanta as an unobserved one, so even the tier counters match.
+    counters = result.metrics["counters"]
     return (
         result.policy,
         result.total_cycles,
@@ -64,13 +58,25 @@ def _fingerprint(result) -> tuple:
     )
 
 
-def _run(observe=None):
+def _run(observe=None, **engine):
     workload = build_named_workload(
         "BFS", graph_scale=TINY.graph_scale, proxy_accesses=TINY.proxy_accesses
     )
     config = config_for(workload)
-    simulator = Simulator(config, policy=HugePagePolicy.PCC, observe=observe)
+    simulator = Simulator(config, policy=HugePagePolicy.PCC, observe=observe,
+                          **engine)
     return simulator.run([clone_workload(workload)])
+
+
+def _tier_total(result, counter: str) -> int:
+    return sum(value for name, value in result.metrics["counters"].items()
+               if name.endswith(f".fastpath.{counter}"))
+
+
+def _walk_histograms(result) -> dict:
+    distributions = result.metrics["distributions"]
+    return {name: distributions[name]
+            for name in ("walk_latency_cycles", "promotion_lag_accesses")}
 
 
 class TestBitIdentity:
@@ -103,6 +109,33 @@ class TestBitIdentity:
         assert set(percentiles) == {"p50", "p95", "p99"}
         assert percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
 
+    def test_observed_run_stays_columnar_with_fast_tier_histograms(self):
+        # (epoch counts equal to an unobserved run's: _fingerprint)
+        observed = _run(observe=True)
+        assert _tier_total(observed, "columnar_epochs") > 0
+        fast = _run(observe=True, columnar=False)
+        assert _tier_total(fast, "columnar_epochs") == 0
+        histograms = _walk_histograms(observed)
+        assert histograms["promotion_lag_accesses"]["count"] > 0
+        assert histograms == _walk_histograms(fast)
+
+    def test_replayed_epoch_window_keeps_fast_tier_promotion_lag(
+            self, monkeypatch):
+        # A declined classification replays the planned window quantum
+        # by quantum while the tick clock advances once per window; the
+        # walks' first-walk stamps must still be per quantum.
+        from repro.engine.machine import TranslationPipeline
+
+        fast = _run(observe=True, columnar=False)
+        monkeypatch.setattr(TranslationPipeline, "_epoch_classify",
+                            lambda self, *args: None)
+        replayed = _run(observe=True)
+        assert _tier_total(replayed, "columnar_fallbacks") > 0
+        assert _tier_total(replayed, "columnar_epochs") == 0
+        lag = replayed.metrics["distributions"]["promotion_lag_accesses"]
+        assert lag["count"] > 0
+        assert lag == fast.metrics["distributions"]["promotion_lag_accesses"]
+
     def test_metrics_meta_carries_run_id(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_ID", "abcd12340001")
         result = _run()
@@ -122,7 +155,7 @@ class TestTraceContents:
         by_name = {}
         for event in spans:
             by_name.setdefault(event["name"], []).append(event)
-        for required in ("machine.sim_loop", "quantum", "os_tick", "tick.scan",
+        for required in ("machine.sim_loop", "epoch", "os_tick", "tick.scan",
                          "tick.rank", "tick.promote", "machine.collect"):
             assert required in by_name, f"missing span {required!r}"
         loop_id = by_name["machine.sim_loop"][0]["args"]["span"]
@@ -134,8 +167,8 @@ class TestTraceContents:
         scan_parents = {t["args"]["parent"] for t in by_name["tick.scan"]}
         tick_ids = {t["args"]["span"] for t in by_name["os_tick"]}
         assert scan_parents <= tick_ids
-        # quantum spans ride per-core lanes, off the main lane
-        assert {e["tid"] for e in by_name["quantum"]} == {10}
+        # epoch spans ride per-core lanes, off the main lane
+        assert {e["tid"] for e in by_name["epoch"]} == {10}
 
     def test_pcc_snapshots_carry_topk_and_tlb(self, tmp_path):
         tracer = tracer_module.enable(spool_dir=tmp_path / "spool")

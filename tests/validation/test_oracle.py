@@ -22,6 +22,7 @@ def test_healthy_cases_pass_all_checks():
         assert "determinism" in report.checks
         assert "conservation" in report.checks
         assert "ledger" in report.checks
+        assert "observed" in report.checks
         assert "invariants" in report.checks
 
 
